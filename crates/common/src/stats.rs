@@ -76,6 +76,7 @@ pub struct Stats {
     snapshots_created: AtomicU64,
     table_cache_hits: AtomicU64,
     table_cache_misses: AtomicU64,
+    cl_log_bulk_reads: AtomicU64,
 
     // The shared block cache (one cache across all keyspace shards; each
     // probe charges the stats registry of the shard that issued it, so the
@@ -212,12 +213,16 @@ impl Stats {
         block_reads => add_block_reads, block_reads;
         /// Records table probes skipped thanks to a bloom-filter negative.
         bloom_negatives => add_bloom_negatives, bloom_negatives;
-        /// Records MVCC snapshots opened via `Db::snapshot`.
+        /// Records MVCC snapshots opened, by `Db::snapshot` and by the implicit
+        /// snapshot every live scan takes.
         snapshots_created => add_snapshots_created, snapshots_created;
         /// Records table-cache probes that found the table handle already open.
         table_cache_hits => add_table_cache_hits, table_cache_hits;
         /// Records table-cache probes that had to open the table from disk.
         table_cache_misses => add_table_cache_misses, table_cache_misses;
+        /// Records whole-file reads of a CL-SSTable's backing commit log (bulk
+        /// iteration for compaction; scans resolve values with positioned reads).
+        cl_log_bulk_reads => add_cl_log_bulk_reads, cl_log_bulk_reads;
         /// Records block-cache probes served from a cached decoded block
         /// (including probes that joined an in-flight single-flight load).
         block_cache_hits => add_block_cache_hits, block_cache_hits;
@@ -364,6 +369,7 @@ impl Stats {
             snapshots_created => add_snapshots_created,
             table_cache_hits => add_table_cache_hits,
             table_cache_misses => add_table_cache_misses,
+            cl_log_bulk_reads => add_cl_log_bulk_reads,
             block_cache_hits => add_block_cache_hits,
             block_cache_misses => add_block_cache_misses,
             block_cache_evictions => add_block_cache_evictions,
@@ -424,6 +430,7 @@ impl Stats {
             snapshots_created: self.snapshots_created(),
             table_cache_hits: self.table_cache_hits(),
             table_cache_misses: self.table_cache_misses(),
+            cl_log_bulk_reads: self.cl_log_bulk_reads(),
             block_cache_hits: self.block_cache_hits(),
             block_cache_misses: self.block_cache_misses(),
             block_cache_evictions: self.block_cache_evictions(),
@@ -486,6 +493,7 @@ pub struct StatSnapshot {
     pub snapshots_created: u64,
     pub table_cache_hits: u64,
     pub table_cache_misses: u64,
+    pub cl_log_bulk_reads: u64,
     pub block_cache_hits: u64,
     pub block_cache_misses: u64,
     pub block_cache_evictions: u64,
@@ -553,6 +561,7 @@ impl StatSnapshot {
             snapshots_created,
             table_cache_hits,
             table_cache_misses,
+            cl_log_bulk_reads,
             block_cache_hits,
             block_cache_misses,
             block_cache_evictions,
@@ -621,6 +630,7 @@ impl StatSnapshot {
             snapshots_created,
             table_cache_hits,
             table_cache_misses,
+            cl_log_bulk_reads,
             block_cache_hits,
             block_cache_misses,
             block_cache_evictions,

@@ -331,20 +331,33 @@ impl std::fmt::Debug for Db {
 struct ShardRecovery {
     path: PathBuf,
     versions: VersionSet,
-    /// Stray commit logs in log-id order, each with its recovered records.
-    stray_logs: Vec<(u64, Vec<LogRecord>)>,
+    /// Stray commit logs in log-id order, each with the seqno and batch stamp
+    /// of every intact record: all torn-batch detection needs. Replay reads
+    /// the records again one at a time, so no shard holds its logs' contents
+    /// in memory while the other shards are read.
+    stray_logs: Vec<(u64, Vec<RecordMark>)>,
+}
+
+/// The seqno and batch stamp of one commit-log record.
+pub(crate) type RecordMark = (SeqNo, Option<BatchStamp>);
+
+/// The marks of every intact record of the log at `path`, in log order.
+fn read_marks(path: &Path) -> Result<Vec<RecordMark>> {
+    let reader = LogReader::open(path)?;
+    let marks = reader.iter()?.map(|item| item.map(|r| (r.record.seqno, r.record.stamp)));
+    marks.collect()
 }
 
 impl ShardRecovery {
     /// Reads every on-disk commit log *not* in the stray set — retained
     /// batch-stamp evidence below the recovery horizon, and live CL-SSTable
-    /// backing logs — and returns the records of those carrying a stamp.
+    /// backing logs — and returns the record marks of those carrying a stamp.
     /// These records are never replayed (the version chain already owns
     /// them); they exist purely so torn-batch detection can tell a batch
     /// whose slice graduated into an SSTable from one that never committed.
     /// Best-effort by design: an unreadable log contributes nothing, and
     /// detection falls back to its conservative stray-only verdict.
-    fn read_stamp_evidence(&self) -> Vec<LogRecord> {
+    fn read_stamp_evidence(&self) -> Vec<RecordMark> {
         let stray: HashSet<u64> = self.stray_logs.iter().map(|(id, _)| *id).collect();
         let mut evidence = Vec::new();
         let Ok(entries) = std::fs::read_dir(&self.path) else { return evidence };
@@ -355,11 +368,9 @@ impl ShardRecovery {
             .collect();
         ids.sort_unstable();
         for id in ids {
-            let Ok(reader) = LogReader::open(log_file_path(&self.path, id)) else { continue };
-            let Ok((records, _tail)) = reader.recover() else { continue };
-            let records: Vec<LogRecord> = records.into_iter().map(|r| r.record).collect();
-            if records.iter().any(|record| record.stamp.is_some()) {
-                evidence.extend(records);
+            let Ok(marks) = read_marks(&log_file_path(&self.path, id)) else { continue };
+            if marks.iter().any(|(_, stamp)| stamp.is_some()) {
+                evidence.extend(marks);
             }
         }
         evidence
@@ -397,9 +408,7 @@ impl Shard {
         stray_ids.sort_unstable();
         let mut stray_logs = Vec::with_capacity(stray_ids.len());
         for id in stray_ids {
-            let reader = LogReader::open(log_file_path(&path, id))?;
-            let (records, _tail) = reader.recover()?;
-            stray_logs.push((id, records.into_iter().map(|r| r.record).collect()));
+            stray_logs.push((id, read_marks(&log_file_path(&path, id))?));
         }
         Ok(ShardRecovery { path, versions, stray_logs })
     }
@@ -425,12 +434,14 @@ impl Shard {
         let mut last_seqno = versions.last_seqno();
 
         // Replay each stray log as one L0 table, in log-id order, so newer logs
-        // shadow older ones.
-        for (log_id, records) in &stray_logs {
+        // shadow older ones. The log is read again, and stops at the same torn
+        // tail as the read that collected its marks: nothing writes it between.
+        for (log_id, _) in stray_logs {
+            let reader = LogReader::open(log_file_path(&path, log_id))?;
             last_seqno = last_seqno.max(replay_log(
                 &path,
-                *log_id,
-                records,
+                log_id,
+                reader.iter()?.map(|item| item.map(|recovered| recovered.record)),
                 drops,
                 &mut versions,
                 &options,
@@ -538,18 +549,18 @@ impl Shard {
 fn replay_log(
     path: &Path,
     log_id: u64,
-    records: &[LogRecord],
+    records: impl Iterator<Item = Result<LogRecord>>,
     drops: &HashSet<SeqNo>,
     versions: &mut VersionSet,
     options: &Options,
 ) -> Result<SeqNo> {
-    if records.is_empty() {
-        return Ok(0);
-    }
     let mut latest: std::collections::BTreeMap<Vec<u8>, (SeqNo, ValueKind, Vec<u8>)> =
         std::collections::BTreeMap::new();
     let mut max_seqno = 0;
+    let mut any = false;
     for record in records {
+        let record = record?;
+        any = true;
         max_seqno = max_seqno.max(record.seqno);
         if drops.contains(&record.seqno) {
             continue;
@@ -557,10 +568,12 @@ fn replay_log(
         match latest.get(&record.key) {
             Some((existing_seqno, _, _)) if *existing_seqno >= record.seqno => {}
             _ => {
-                latest
-                    .insert(record.key.clone(), (record.seqno, record.kind, record.value.clone()));
+                latest.insert(record.key, (record.seqno, record.kind, record.value));
             }
         }
+    }
+    if !any {
+        return Ok(0);
     }
     if latest.is_empty() {
         // Every record was dropped: there is no table to build, but the seqno
@@ -624,7 +637,7 @@ fn replay_log(
 /// an SSTable — a flush between the per-shard commits — that slice is beyond
 /// recall and the tear survives; fixing that would take cross-shard
 /// two-phase commit.
-pub(crate) fn torn_batch_drops(per_shard: &[Vec<&LogRecord>]) -> (Vec<HashSet<SeqNo>>, u64) {
+pub(crate) fn torn_batch_drops(per_shard: &[Vec<RecordMark>]) -> (Vec<HashSet<SeqNo>>, u64) {
     struct Slice {
         shard: usize,
         first: SeqNo,
@@ -637,12 +650,12 @@ pub(crate) fn torn_batch_drops(per_shard: &[Vec<&LogRecord>]) -> (Vec<HashSet<Se
         slices: Vec<Slice>,
     }
     let mut batches: HashMap<u64, BatchSlices> = HashMap::new();
-    for (shard, records) in per_shard.iter().enumerate() {
-        let seqnos: HashSet<SeqNo> = records.iter().map(|record| record.seqno).collect();
-        for record in records {
-            let Some(stamp) = record.stamp else { continue };
-            let complete = (record.seqno..record.seqno + u64::from(stamp.len))
-                .all(|seqno| seqnos.contains(&seqno));
+    for (shard, marks) in per_shard.iter().enumerate() {
+        let seqnos: HashSet<SeqNo> = marks.iter().map(|(seqno, _)| *seqno).collect();
+        for &(first, stamp) in marks {
+            let Some(stamp) = stamp else { continue };
+            let complete =
+                (first..first + u64::from(stamp.len)).all(|seqno| seqnos.contains(&seqno));
             let entry = batches.entry(stamp.batch_id).or_insert_with(|| BatchSlices {
                 fanout: stamp.fanout,
                 fanout_disagrees: false,
@@ -651,7 +664,7 @@ pub(crate) fn torn_batch_drops(per_shard: &[Vec<&LogRecord>]) -> (Vec<HashSet<Se
             if entry.fanout != stamp.fanout {
                 entry.fanout_disagrees = true;
             }
-            entry.slices.push(Slice { shard, first: record.seqno, len: stamp.len, complete });
+            entry.slices.push(Slice { shard, first, len: stamp.len, complete });
         }
     }
     let mut drops: Vec<HashSet<SeqNo>> = vec![HashSet::new(); per_shard.len()];
@@ -738,10 +751,14 @@ impl Db {
         // view across every shard's stray records can tell. Single-shard
         // databases never write stamps, so there is nothing to detect.
         let (drops, torn_batches) = if count > 1 {
-            let per_shard: Vec<Vec<&LogRecord>> = recoveries
+            let per_shard: Vec<Vec<RecordMark>> = recoveries
                 .iter()
                 .map(|recovery| {
-                    recovery.stray_logs.iter().flat_map(|(_, records)| records).collect()
+                    recovery
+                        .stray_logs
+                        .iter()
+                        .flat_map(|(_, marks)| marks.iter().copied())
+                        .collect()
                 })
                 .collect();
             let first_pass = torn_batch_drops(&per_shard);
@@ -756,18 +773,12 @@ impl Db {
                 // and re-judge before dropping anything acknowledged. The
                 // merged drop sets may name evidence-log seqnos; harmless —
                 // only stray-log replay consults them.
-                let evidence: Vec<Vec<LogRecord>> =
-                    recoveries.iter().map(ShardRecovery::read_stamp_evidence).collect();
-                let merged: Vec<Vec<&LogRecord>> = recoveries
-                    .iter()
-                    .zip(&evidence)
-                    .map(|(recovery, extra)| {
-                        recovery
-                            .stray_logs
-                            .iter()
-                            .flat_map(|(_, records)| records)
-                            .chain(extra.iter())
-                            .collect()
+                let merged: Vec<Vec<RecordMark>> = per_shard
+                    .into_iter()
+                    .zip(&recoveries)
+                    .map(|(mut marks, recovery)| {
+                        marks.extend(recovery.read_stamp_evidence());
+                        marks
                     })
                     .collect();
                 torn_batch_drops(&merged)
@@ -1013,23 +1024,15 @@ impl Db {
     /// Returns an iterator over the live key/value pairs with user keys in
     /// `[start, end)`; either bound may be omitted.
     ///
-    /// The iterator pins the version it was created against, so the files it reads
-    /// — including the commit logs backing CL-SSTables — outlive any concurrent
-    /// compaction for as long as the iterator exists. On a sharded database
-    /// the per-shard iterators are k-way merged (routing makes per-shard key
-    /// sets disjoint, so the merge needs no cross-shard dedup) over an
-    /// ephemeral shard-spanning snapshot, which is released as soon as the
-    /// iterator has pinned its sources.
+    /// The scan reads through an implicit [`Snapshot`] taken now, on any shard
+    /// count, so it observes every write batch (cross-shard ones included)
+    /// all-or-nothing. Its sources seek to `start` and read lazily (see
+    /// [`DbIterator`]), so the iterator keeps the snapshot's retention
+    /// registration and version pins until it drops: the files it reads —
+    /// including the commit logs backing CL-SSTables — outlive any concurrent
+    /// compaction, and versions that later writes shadow stay readable.
     pub fn scan_range(&self, start: Option<&[u8]>, end: Option<&[u8]>) -> Result<DbIterator> {
-        if self.shards.len() == 1 {
-            return DbIterator::with_bounds(
-                &self.shards[0].inner,
-                start.map(|s| s.to_vec()),
-                end.map(|e| e.to_vec()),
-            );
-        }
-        let snapshot = self.snapshot();
-        snapshot.scan_range(start, end)
+        self.snapshot().scan_range(start, end)
     }
 
     /// Forces the active memtable to be sealed and flushed, then waits for every
@@ -1191,11 +1194,16 @@ impl Db {
         &self.path
     }
 
+    /// Each shard's current [`Version`], shard-index order: which table files
+    /// live on which level, with their key ranges (tests and diagnostics).
+    pub fn current_versions(&self) -> Vec<Arc<Version>> {
+        self.shards.iter().map(|shard| shard.inner.current_version.read().clone()).collect()
+    }
+
     /// Number of files per level, summed across shards (index = level).
     pub fn files_per_level(&self) -> Vec<usize> {
         let mut totals = vec![0usize; self.options.num_levels];
-        for shard in &self.shards {
-            let version = shard.inner.current_version.read().clone();
+        for version in self.current_versions() {
             for (level, total) in totals.iter_mut().enumerate().take(version.num_levels()) {
                 *total += version.num_files(level);
             }
@@ -1205,12 +1213,8 @@ impl Db {
 
     /// Total on-disk size of every level across shards, in bytes.
     pub fn disk_usage(&self) -> u64 {
-        let mut total = 0;
-        for shard in &self.shards {
-            let version = shard.inner.current_version.read().clone();
-            total += (0..version.num_levels()).map(|l| version.level_size(l)).sum::<u64>();
-        }
-        total
+        let versions = self.current_versions();
+        versions.iter().map(|v| (0..v.num_levels()).map(|l| v.level_size(l)).sum::<u64>()).sum()
     }
 
     /// The failpoint registry used by this instance (for tests). One registry

@@ -1,39 +1,53 @@
-//! Full-database scans.
+//! Range scans: one snapshot-bounded iterator whose every source seeks to the
+//! start key.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use triad_common::types::{Entry, ValueKind};
+use triad_common::types::{Entry, SeqNo, ValueKind};
 use triad_common::{Result, Stats};
-use triad_sstable::{bounded_to_seqno, DedupIterator, EntryIter, MergingIterator};
+use triad_sstable::{DedupIterator, EntryIter, MergingIterator};
 
 use crate::db::DbInner;
-use crate::snapshot::SnapshotShard;
+use crate::snapshot::{SnapshotShard, SnapshotView};
+use crate::version::FileMetadata;
 
-/// An iterator over every live key/value pair in the database, in key order.
+/// An iterator over the live key/value pairs of a snapshot, in key order,
+/// restricted to user keys in `[start, end)`.
 ///
-/// The iterator captures the tree once, at creation time: the active memtable's
-/// contents, the sealed memtables and the current version. Every key live at that
-/// moment is observed exactly once, at its newest captured version; writes issued
-/// after creation are not reflected (except that a concurrent overwrite racing
-/// iterator construction may already be the version captured). The version is
-/// *pinned* for the iterator's whole lifetime, so every file it reads — tables,
-/// CL indexes and the commit logs backing them — survives any concurrent
-/// compaction until the iterator is dropped.
+/// Every iterator reads through a snapshot:
+/// [`Snapshot::scan_range`](crate::Snapshot::scan_range) uses the handle's,
+/// and [`Db::scan_range`](crate::Db::scan_range) takes an implicit one — on
+/// any shard count — that only the iterator keeps. Per shard, the sources
+/// are the snapshot's active and sealed memtables, the L0 tables whose key
+/// range overlaps the scan, and one concatenating source per deeper level
+/// over the files the range reaches. Each source *seeks* to `start` and reads
+/// lazily: memtables in small chunks under short shard read locks, tables one
+/// data block at a time, CL-SSTable values by positioned reads of the backing
+/// log. All are bounded at the shard's snapshot seqno, and a k-way merge plus
+/// a dedup stage yield the newest visible version of each key, dropping
+/// tombstones. A scan's cost therefore follows the pairs it consumes, not the
+/// size of the database.
+///
+/// Because reads are lazy, the iterator holds its snapshot's view for its
+/// whole lifetime: the retention registration, which keeps shadowed
+/// memtable versions the view can still see, and the version pins, which keep
+/// every table, CL index and backing commit log it may read safe from garbage
+/// collection. A long-lived iterator therefore costs what a long-lived
+/// snapshot costs — overwrites meanwhile retain their prior versions in
+/// memory, and compacted files stay on disk — until it drops.
 pub struct DbIterator {
     inner: DedupIterator,
-    /// Inclusive lower bound on user keys, if any.
-    start: Option<Vec<u8>>,
     /// Exclusive upper bound on user keys, if any.
     end: Option<Vec<u8>>,
-    /// Keeps the captured files safe from garbage collection until drop —
-    /// one pinned version per shard the iterator reads.
-    _pins: Vec<crate::db::PinnedVersion>,
+    /// The snapshot view the sources read; dropping the last reference
+    /// releases its retention registration and version pins.
+    _view: Arc<SnapshotView>,
     /// Shared statistics registry; the drop impl records this iterator's
     /// lifetime into the scan-latency histogram.
     stats: Arc<Stats>,
     /// When the iterator was created. The recorded "scan latency" is the
-    /// whole lifetime — tree capture through drop — which for a
+    /// whole lifetime — source positioning through drop — which for a
     /// construct-iterate-drop scan (every bench and most callers) is exactly
     /// the scan's wall-clock cost.
     created: Instant,
@@ -46,124 +60,101 @@ impl Drop for DbIterator {
 }
 
 impl DbIterator {
-    /// Creates an iterator restricted to user keys in `[start, end)`.
-    pub(crate) fn with_bounds(
-        db: &Arc<DbInner>,
-        start: Option<Vec<u8>>,
-        end: Option<Vec<u8>>,
+    /// Creates an iterator over `view` restricted to user keys in
+    /// `[start, end)`; either bound may be omitted.
+    ///
+    /// No lock is held beyond the short per-source ones: each shard's seqno
+    /// sits on a commit-group boundary and was registered for retention before
+    /// the capture locks released, so bounding that shard's sources at it
+    /// yields a batch-atomic view by construction. The versions read are the
+    /// ones the snapshot pinned — never the current ones, whose compactions
+    /// may already have deduped away versions the snapshot still needs. Hash
+    /// routing makes the shards' key sets disjoint, so the k-way merge needs
+    /// no cross-shard conflict resolution.
+    pub(crate) fn new(
+        view: Arc<SnapshotView>,
+        start: Option<&[u8]>,
+        end: Option<&[u8]>,
     ) -> Result<DbIterator> {
         let created = Instant::now();
         let mut sources: Vec<EntryIter> = Vec::new();
-
-        // Capture the memory component under the WAL lock plus an exclusive
-        // acquisition of the commit gate. The WAL lock serialises rotations, the
-        // serialized write path and the flush hot-write-back; the gate (always
-        // taken after the WAL lock, never before) drains the commit pipeline —
-        // every in-flight group holds a shared gate membership from its WAL
-        // append until its publication, and on the grouped pipeline memtable
-        // inserts run *outside* the WAL lock, so the lock alone no longer
-        // guarantees a batch-atomic capture. With both held, no write batch can
-        // be half-applied while the active memtable is materialised, and the
-        // sealed list captured alongside is consistent with it. (Sealed
-        // memtables are immutable, so their contents can be materialised after
-        // the locks are released, and they only ever hold whole batches —
-        // rotation drains the same gate.) The merge
-        // orders identical user keys by sequence number, newest first, so the
-        // dedup stage keeps the newest captured version no matter which source
-        // supplied it; memtable entries are deliberately *not* filtered by a
-        // sequence-number snapshot, because the memtable keeps one slot per key —
-        // suppressing a slot whose version is "too new" would hide the key
-        // entirely, not reveal an older version.
-        let (mem_entries, imm) = {
-            let _wal = db.wal.lock();
-            let _gate = db.commit_gate.write();
-            let mem_entries = db.mem.read().snapshot_as_entries();
-            let imm: Vec<Arc<crate::db::ImmutableMemtable>> = db.imm.read().clone();
-            (mem_entries, imm)
-        };
-
-        sources.push(Box::new(mem_entries.into_iter().map(Ok)));
-        for sealed in imm.iter().rev() {
-            let entries = sealed.memtable.snapshot_as_entries();
-            sources.push(Box::new(entries.into_iter().map(Ok)));
-        }
-        // Pinned after the memory capture: a flush completing in between installs
-        // its table before removing its memtable from the sealed list, so the pin
-        // can only add (deduplicated) coverage, never lose entries.
-        let pin = db.pin_current_version();
-        for level in 0..pin.num_levels() {
-            for file in &pin.levels[level] {
-                let table = db.table_cache.get_or_open(file)?;
-                // `entries_arc` keeps the handle alive inside the iterator, which
-                // lets block-backed tables stream blocks through the shared cache
-                // (with readahead) instead of materialising the whole table.
-                sources.push(table.entries_arc()?);
-            }
+        for part in &view.shards {
+            push_shard_sources(part, start, end, &mut sources)?;
         }
         let merged = MergingIterator::new(sources)?;
         Ok(DbIterator {
             inner: DedupIterator::new(Box::new(merged), false),
-            start,
-            end,
-            _pins: vec![pin],
-            stats: Arc::clone(&db.stats),
+            end: end.map(<[u8]>::to_vec),
+            stats: Arc::clone(&view.shards[0].db.stats),
+            _view: view,
             created,
         })
     }
+}
 
-    /// Creates an iterator over a snapshot's captured components — one
-    /// [`SnapshotShard`] per engine shard — each source bounded at its own
-    /// shard's snapshot sequence number.
-    ///
-    /// No lock is taken here, in contrast to [`with_bounds`](Self::with_bounds):
-    /// each shard's snapshot seqno sits on a commit-group boundary, so bounding
-    /// that shard's sources at it yields a batch-atomic view by construction —
-    /// a concurrent group's writes all carry seqnos above the bound, and any
-    /// version the snapshot can see that such a write shadows is preserved on
-    /// the memtable's prior list (the snapshot registered itself before the
-    /// bound was chosen). Table sources are bounded *before* the dedup stage,
-    /// so the survivor per user key is the newest version visible at the
-    /// snapshot. The versions are the ones the snapshot pinned — never the
-    /// current ones, whose compactions may already have deduped away versions
-    /// the snapshot still needs. Hash routing makes the shards' key sets
-    /// disjoint, so the k-way merge needs no cross-shard conflict resolution.
-    ///
-    /// The iterator takes its own version pins, so the snapshot handle may be
-    /// dropped as soon as this returns (the ephemeral snapshot behind a live
-    /// multi-shard [`Db::scan_range`](crate::Db::scan_range) does exactly that).
-    pub(crate) fn with_snapshot_parts(
-        parts: &[SnapshotShard],
-        start: Option<Vec<u8>>,
-        end: Option<Vec<u8>>,
-    ) -> Result<DbIterator> {
-        let created = Instant::now();
-        let mut sources: Vec<EntryIter> = Vec::new();
-        let mut pins = Vec::with_capacity(parts.len());
-        for part in parts {
-            let db: &Arc<DbInner> = &part.db;
-            sources.push(Box::new(part.mem.snapshot_as_entries_at(part.seqno).into_iter().map(Ok)));
-            for sealed in part.imm.iter().rev() {
-                let entries = sealed.memtable.snapshot_as_entries_at(part.seqno);
-                sources.push(Box::new(entries.into_iter().map(Ok)));
-            }
-            let pin = db.pin_version(Arc::clone(part.pin.version()));
-            for level in 0..pin.num_levels() {
-                for file in &pin.levels[level] {
-                    let table = db.table_cache.get_or_open(file)?;
-                    sources.push(bounded_to_seqno(table.entries_arc()?, part.seqno));
-                }
-            }
-            pins.push(pin);
+/// Appends one shard's seeking sources, newest first: the active memtable,
+/// the sealed memtables newest first, the overlapping L0 tables newest first,
+/// then one source per deeper level.
+fn push_shard_sources(
+    part: &SnapshotShard,
+    start: Option<&[u8]>,
+    end: Option<&[u8]>,
+    sources: &mut Vec<EntryIter>,
+) -> Result<()> {
+    let seqno = part.seqno;
+    sources.push(Box::new(part.mem.range_at(start, end, seqno).map(Ok)));
+    for sealed in part.imm.iter().rev() {
+        sources.push(Box::new(sealed.memtable.range_at(start, end, seqno).map(Ok)));
+    }
+    // L0 files may overlap one another: each overlapping file is its own source.
+    for file in part.pin.files_in_range(0, start, end) {
+        sources.push(part.db.table_cache.get_or_open(&file)?.iter_from(start, seqno)?);
+    }
+    for level in 1..part.pin.num_levels() {
+        let files = part.pin.files_in_range(level, start, end);
+        if !files.is_empty() {
+            let level = LevelIter {
+                db: Arc::clone(&part.db),
+                files: files.into_iter(),
+                start: start.map(<[u8]>::to_vec),
+                seqno,
+                current: None,
+            };
+            sources.push(Box::new(level));
         }
-        let merged = MergingIterator::new(sources)?;
-        Ok(DbIterator {
-            inner: DedupIterator::new(Box::new(merged), false),
-            start,
-            end,
-            _pins: pins,
-            stats: Arc::clone(&parts[0].db.stats),
-            created,
-        })
+    }
+    Ok(())
+}
+
+/// One level ≥ 1 of a scan as a single sorted source. The level's files are
+/// disjoint and sorted by key, so their iterators concatenate; each file is
+/// opened only when the previous one runs out, and only the first seeks.
+struct LevelIter {
+    db: Arc<DbInner>,
+    /// Files not yet opened, in key order.
+    files: std::vec::IntoIter<Arc<FileMetadata>>,
+    /// The scan's start key, consumed by the first file's seek.
+    start: Option<Vec<u8>>,
+    seqno: SeqNo,
+    current: Option<EntryIter>,
+}
+
+impl Iterator for LevelIter {
+    type Item = Result<Entry>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(item) = self.current.as_mut().and_then(Iterator::next) {
+                return Some(item);
+            }
+            let file = self.files.next()?;
+            let start = self.start.take();
+            let opened = self.db.table_cache.get_or_open(&file);
+            match opened.and_then(|table| table.iter_from(start.as_deref(), self.seqno)) {
+                Ok(iter) => self.current = Some(iter),
+                Err(e) => return Some(Err(e)),
+            }
+        }
     }
 }
 
@@ -176,11 +167,6 @@ impl Iterator for DbIterator {
                 Ok(entry) => entry,
                 Err(e) => return Some(Err(e)),
             };
-            if let Some(start) = &self.start {
-                if entry.key.user_key.as_slice() < start.as_slice() {
-                    continue;
-                }
-            }
             if let Some(end) = &self.end {
                 if entry.key.user_key.as_slice() >= end.as_slice() {
                     // Sources are sorted, so nothing after this point can qualify.

@@ -48,7 +48,7 @@ use triad_common::{Error, Result};
 use triad_memtable::LogPosition;
 use triad_wal::{parse_log_file_name, LogReader, LogRecord};
 
-use crate::db::{torn_batch_drops, Db, DbInner, WalState};
+use crate::db::{torn_batch_drops, Db, DbInner, RecordMark, WalState};
 use crate::iterator::DbIterator;
 use crate::options::Options;
 use crate::snapshot::{capture_all_shards, Snapshot};
@@ -119,8 +119,10 @@ impl Replica {
         // recovery's detection anyway: a foreign or hand-damaged shipment
         // must degrade to a consistent cut, not a silently torn one.
         if shipments.len() > 1 {
-            let per_shard: Vec<Vec<&LogRecord>> =
-                shipments.iter().map(|shipment| shipment.records.iter().collect()).collect();
+            let per_shard: Vec<Vec<RecordMark>> = shipments
+                .iter()
+                .map(|shipment| shipment.records.iter().map(|r| (r.seqno, r.stamp)).collect())
+                .collect();
             let (drops, torn) = torn_batch_drops(&per_shard);
             if torn > 0 {
                 self.db.shards[0].inner.stats.add_recovery_torn_batches(torn);

@@ -17,8 +17,8 @@
 //!    [`SnapshotRetention`](triad_common::SnapshotRetention) registry *before*
 //!    releasing the gate, so any later overwrite of a version the snapshot can
 //!    see preserves that version on the slot's prior list, where the
-//!    seqno-bounded probes ([`Memtable::get_at`],
-//!    [`Memtable::snapshot_entries_at`]) find it.
+//!    seqno-bounded reads ([`Memtable::get_at`], [`Memtable::range_at`]) find
+//!    it.
 //! 3. **The current [`Version`](crate::Version)** via an internal pin: every
 //!    table file, CL index and backing commit log the version references survives any
 //!    concurrent flush or compaction until the snapshot drops — garbage
@@ -41,11 +41,17 @@
 //! Lock order is global rank order: router gate (8), then the WAL locks
 //! (10, shard-index order), then the commit gates (20, shard-index order).
 //!
-//! Dropping the snapshot deregisters it per shard and, whenever that moves
-//! the registry's visibility bounds, sweeps the shard's memory components so
+//! # Release
+//!
+//! The captured views live in a shared `SnapshotView`: the [`Snapshot`]
+//! handle holds one reference and every [`DbIterator`] opened from it holds
+//! another, because iterators read the memtables and tables lazily and need
+//! the capture-time view for as long as they exist. When the last reference
+//! drops, the view deregisters itself per shard and, whenever that moves the
+//! registry's visibility bounds, sweeps the shard's memory components so
 //! retained versions nobody can read are released promptly — even on idle
 //! keys that are never overwritten again. It also releases the version pins,
-//! nudging each shard's collector to reclaim whatever only the snapshot was
+//! nudging each shard's collector to reclaim whatever only the view was
 //! keeping.
 
 use std::sync::atomic::Ordering;
@@ -124,6 +130,14 @@ impl SnapshotShard {
     }
 }
 
+/// The per-shard captured views shared by a [`Snapshot`] and the iterators
+/// opened from it; dropping the last reference releases the retention
+/// registrations and version pins (see the module docs).
+pub(crate) struct SnapshotView {
+    /// One frozen view per engine shard, shard-index order.
+    pub(crate) shards: Vec<SnapshotShard>,
+}
+
 /// A frozen, consistent view of the database at a commit-group boundary
 /// (one boundary per shard on a sharded database).
 ///
@@ -131,10 +145,11 @@ impl SnapshotShard {
 /// handle are repeatable and unaffected by concurrent writes, flushes and
 /// compactions. The handle is `Send + Sync`; it may outlive arbitrary amounts
 /// of write traffic, at the cost of pinning the files and superseded in-memory
-/// versions it can still see.
+/// versions it can still see. Iterators opened from it share that cost: the
+/// pins are released when the handle and all of its iterators have dropped.
 pub struct Snapshot {
-    /// One frozen view per engine shard, shard-index order.
-    shards: Vec<SnapshotShard>,
+    /// The captured views, shared with the snapshot's iterators.
+    view: Arc<SnapshotView>,
     /// Key → shard routing, mirroring the database's own router.
     routes: ShardRouter,
     /// The largest per-shard snapshot seqno (equals the single shard's seqno
@@ -146,7 +161,7 @@ impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snapshot")
             .field("seqno", &self.seqno)
-            .field("shards", &self.shards.len())
+            .field("shards", &self.view.shards.len())
             .finish()
     }
 }
@@ -165,7 +180,8 @@ impl Snapshot {
         };
         db.stats.add_snapshots_created(1);
         let seqno = captured.seqno;
-        Snapshot { shards: vec![captured], routes: ShardRouter::new(1), seqno }
+        let view = Arc::new(SnapshotView { shards: vec![captured] });
+        Snapshot { view, routes: ShardRouter::new(1), seqno }
     }
 
     /// Captures a shard-spanning snapshot: every shard's pipeline is drained
@@ -198,7 +214,7 @@ impl Snapshot {
     /// memory, through its `Arc`.
     pub fn get(&self, key: impl AsRef<[u8]>) -> Result<Option<Vec<u8>>> {
         let key = key.as_ref();
-        let shard = &self.shards[self.routes.route(key)];
+        let shard = &self.view.shards[self.routes.route(key)];
         let started = std::time::Instant::now();
         let result = shard.get(key);
         shard.db.stats.record_get_latency_ns(started.elapsed().as_nanos() as u64);
@@ -214,19 +230,18 @@ impl Snapshot {
     /// Returns an iterator over the snapshot's live key/value pairs with user
     /// keys in `[start, end)`; either bound may be omitted.
     ///
-    /// Unlike the live [`Db::scan_range`](crate::Db::scan_range), no lock is
-    /// taken: each shard's snapshot seqno already sits on a commit-group
-    /// boundary, so the bounded view is batch-atomic by construction — a
-    /// concurrent group's writes all carry seqnos above the bound, and
-    /// anything it overwrites that the snapshot can see is preserved by the
-    /// retention registry. On a sharded database the per-shard sources are
-    /// k-way merged; routing makes the shards' key sets disjoint.
+    /// No lock is taken: each shard's snapshot seqno already sits on a
+    /// commit-group boundary, so the bounded view is batch-atomic by
+    /// construction — a concurrent group's writes all carry seqnos above the
+    /// bound, and anything it overwrites that the snapshot can see is
+    /// preserved by the retention registry. Every source seeks to `start` and
+    /// is read lazily as the iterator advances (see [`DbIterator`]), so the
+    /// cost follows the pairs consumed, not the size of the database. The
+    /// iterator shares this snapshot's view and keeps it alive — retention
+    /// registration and version pins included — until it drops, even if the
+    /// handle drops first.
     pub fn scan_range(&self, start: Option<&[u8]>, end: Option<&[u8]>) -> Result<DbIterator> {
-        DbIterator::with_snapshot_parts(
-            &self.shards,
-            start.map(|s| s.to_vec()),
-            end.map(|e| e.to_vec()),
-        )
+        DbIterator::new(Arc::clone(&self.view), start, end)
     }
 }
 
@@ -273,9 +288,10 @@ pub(crate) fn capture_all_shards<T>(
     }
     let seqno = captured.iter().map(|shard| shard.seqno).max().unwrap_or(0);
     // Assemble the snapshot *before* the fallible callbacks: an early return
-    // below drops it, and `Snapshot::drop` runs the full release protocol
+    // below drops it, and `SnapshotView::drop` runs the full release protocol
     // (deregistration, retention sweep, pin release) for the captured shards.
-    let snapshot = Snapshot { shards: captured, routes: ShardRouter::new(shards.len()), seqno };
+    let view = Arc::new(SnapshotView { shards: captured });
+    let snapshot = Snapshot { view, routes: ShardRouter::new(shards.len()), seqno };
     let mut extras = Vec::with_capacity(shards.len());
     for (index, (shard, wal)) in shards.iter().zip(wals.iter_mut()).enumerate() {
         extras.push(capture(index, shard, wal)?);
@@ -290,7 +306,7 @@ pub(crate) fn capture_all_shards<T>(
     Ok((snapshot, extras))
 }
 
-impl Drop for Snapshot {
+impl Drop for SnapshotView {
     fn drop(&mut self) {
         // Deregistration first: subsequent overwrites stop retaining for this
         // seqno and prune what only it could read. The field drops that follow
@@ -303,7 +319,8 @@ impl Drop for Snapshot {
                 // overwrite would ever prune. Sweep the shard's *current*
                 // memory components (lock order MEM < IMM < the memtable's
                 // internal shard locks); the components this snapshot captured
-                // are either among them or dropped with this handle.
+                // are either among them or dropped with this view. The sweep
+                // visits only slots holding retained versions.
                 let mem = shard.db.mem.read().clone();
                 let imm: Vec<Arc<ImmutableMemtable>> = shard.db.imm.read().clone();
                 mem.prune_retained();

@@ -293,6 +293,28 @@ impl Version {
             .unwrap_or_default()
     }
 
+    /// Files on `level` that may hold user keys in `[start, end)` (either bound
+    /// may be omitted), in the order a scan reads them: L0 newest first, deeper
+    /// levels in key order. Deeper levels binary-search the first file that
+    /// reaches `start` and stop at the first that begins at or past `end`.
+    pub fn files_in_range(
+        &self,
+        level: usize,
+        start: Option<&[u8]>,
+        end: Option<&[u8]>,
+    ) -> Vec<Arc<FileMetadata>> {
+        let Some(files) = self.levels.get(level) else { return Vec::new() };
+        let reaches_start =
+            |f: &FileMetadata| start.map_or(true, |start| f.largest.user_key.as_slice() >= start);
+        let before_end =
+            |f: &FileMetadata| end.map_or(true, |end| f.smallest.user_key.as_slice() < end);
+        if level == 0 {
+            return files.iter().filter(|f| reaches_start(f) && before_end(f)).cloned().collect();
+        }
+        let first = files.partition_point(|f| !reaches_start(f));
+        files[first..].iter().take_while(|f| before_end(f)).cloned().collect()
+    }
+
     /// Files that a point lookup of `user_key` must consult on `level`, in the order
     /// they must be consulted (newest first for L0, the single candidate for deeper
     /// levels).

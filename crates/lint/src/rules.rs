@@ -328,9 +328,7 @@ fn hot_read_newest_unbounded(file: &SourceFile, ctx: &mut Ctx) {
         };
         match t.text.as_str() {
             "get_at" if nth_is(toks, i + 1, "(") => flagged.push((t.line, bounded("get_at("))),
-            "snapshot_entries_at" | "retention" | "last_seqno" => {
-                flagged.push((t.line, bounded(&t.text)))
-            }
+            "range_at" | "retention" | "last_seqno" => flagged.push((t.line, bounded(&t.text))),
             "seqno" if nth_is(toks, i + 1, "(") && nth_is(toks, i + 2, ")") => {
                 flagged.push((t.line, bounded("seqno()")))
             }

@@ -16,12 +16,13 @@
 //! memtable reconciles the two through a [`SnapshotRetention`] registry: when an
 //! overwrite would shadow a version some open snapshot can still see, the shadowed
 //! version moves to the slot's *prior list* instead of being discarded, and
-//! seqno-bounded probes ([`Memtable::get_at`], [`Memtable::snapshot_entries_at`])
-//! consult it. With no snapshot open (the common case) the prior list stays empty
-//! and the write path pays a single relaxed atomic load.
+//! seqno-bounded reads ([`Memtable::get_at`], [`Memtable::range_at`]) consult it.
+//! With no snapshot open (the common case) the prior list stays empty and the
+//! write path pays a single relaxed atomic load.
 //!
-//! The table is sharded internally; point operations lock a single shard while
-//! snapshots for flushing lock all shards briefly and merge their sorted contents.
+//! The table is sharded internally; point operations lock a single shard, range
+//! cursors copy one small chunk of one shard at a time, and snapshots for
+//! flushing lock all shards briefly and merge their sorted contents.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +33,8 @@ pub mod hotcold;
 pub use adaptive::{FlushObservation, HotKeyTuner};
 pub use hotcold::{separate_keys, HotColdPolicy, HotColdSplit};
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -87,6 +89,130 @@ struct Slot {
     prior: Vec<MemEntry>,
 }
 
+impl Slot {
+    /// The newest version visible at `snapshot`: the live one if it is old
+    /// enough, else the newest retained prior that is.
+    fn visible_at(&self, snapshot: SeqNo) -> Option<&MemEntry> {
+        if self.live.seqno <= snapshot {
+            return Some(&self.live);
+        }
+        self.prior.iter().rev().find(|entry| entry.seqno <= snapshot)
+    }
+}
+
+/// Slots a [`RangeCursor`] copies from one internal shard on its first refill.
+const CURSOR_CHUNK_MIN: usize = 4;
+/// The largest chunk a [`RangeCursor`] copies under one shard read lock; the
+/// chunk doubles per refill up to this, so long scans amortize the locking
+/// while writers never wait behind more than this many slot copies.
+const CURSOR_CHUNK_MAX: usize = 256;
+
+/// A seqno-bounded range cursor over a memtable, created by
+/// [`Memtable::range_at`].
+///
+/// The memtable's keys are hash-partitioned over internal shards, each sorted.
+/// The cursor keeps one small buffer per shard and merges their fronts. A
+/// buffer refills with the next chunk of its shard's range under a short read
+/// lock; chunks start at a few slots and double as the scan proves long. A
+/// scan therefore copies about what it returns (plus one small chunk per
+/// shard), not the memtable.
+///
+/// The memtable stays live underneath: later writes carry seqnos above the
+/// cursor's bound and are skipped, and the versions they shadow are kept on
+/// the slots' prior lists for as long as the bound stays registered in the
+/// [`SnapshotRetention`] registry.
+#[derive(Debug)]
+pub struct RangeCursor {
+    memtable: Arc<Memtable>,
+    snapshot: SeqNo,
+    /// Exclusive upper bound on user keys.
+    end: Option<Vec<u8>>,
+    shards: Vec<ShardCursor>,
+}
+
+/// A [`RangeCursor`]'s position in one internal shard.
+#[derive(Debug)]
+struct ShardCursor {
+    /// Copied entries not yet returned, ascending by key.
+    buffered: VecDeque<Entry>,
+    /// Where the next chunk starts: the range start before the first refill,
+    /// then just past the last slot copied.
+    resume: Bound<Vec<u8>>,
+    /// The shard holds no slot past `resume` inside the range.
+    exhausted: bool,
+    /// Slots the next refill may visit.
+    chunk: usize,
+}
+
+impl RangeCursor {
+    /// Copies the next chunk of shard `index` into its buffer.
+    fn refill(&mut self, index: usize) {
+        let cursor = &mut self.shards[index];
+        let upper = self.end.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
+        let lower = match &cursor.resume {
+            Bound::Included(key) => Bound::Included(key.as_slice()),
+            Bound::Excluded(key) => Bound::Excluded(key.as_slice()),
+            Bound::Unbounded => Bound::Unbounded,
+        };
+        // `BTreeMap::range` panics on an inverted range; the resume point
+        // reaching `end` simply means the shard is done.
+        if let (Bound::Included(low) | Bound::Excluded(low), Some(end)) = (lower, &self.end) {
+            if low >= end.as_slice() {
+                cursor.exhausted = true;
+                return;
+            }
+        }
+        let shard = self.memtable.shards[index].read();
+        let mut visited = 0;
+        let mut last = None;
+        for (key, slot) in shard.map.range::<[u8], _>((lower, upper)).take(cursor.chunk) {
+            visited += 1;
+            if let Some(entry) = slot.visible_at(self.snapshot) {
+                cursor.buffered.push_back(entry.to_entry(key));
+            }
+            last = Some(key);
+        }
+        cursor.exhausted = visited < cursor.chunk;
+        if let Some(last) = last {
+            cursor.resume = Bound::Excluded(last.clone());
+        }
+        drop(shard);
+        cursor.chunk = (cursor.chunk * 2).min(CURSOR_CHUNK_MAX);
+    }
+}
+
+impl Iterator for RangeCursor {
+    type Item = Entry;
+
+    fn next(&mut self) -> Option<Entry> {
+        let mut next: Option<usize> = None;
+        for index in 0..self.shards.len() {
+            while self.shards[index].buffered.is_empty() && !self.shards[index].exhausted {
+                self.refill(index);
+            }
+            let Some(front) = self.shards[index].buffered.front() else { continue };
+            let smaller = next.map_or(true, |best| {
+                let best = self.shards[best].buffered.front().expect("chosen front exists");
+                front.key.user_key < best.key.user_key
+            });
+            if smaller {
+                next = Some(index);
+            }
+        }
+        self.shards[next?].buffered.pop_front()
+    }
+}
+
+/// One internal shard: its slice of the key space, plus the keys whose slot
+/// currently holds retained prior versions.
+#[derive(Debug, Default)]
+struct MemShard {
+    map: BTreeMap<Vec<u8>, Slot>,
+    /// Keys whose slot's prior list is non-empty: the only slots
+    /// [`Memtable::prune_retained`] has to visit.
+    retained: BTreeSet<Vec<u8>>,
+}
+
 /// Number of shards; a power of two so shard selection is a mask.
 const SHARD_COUNT: usize = 16;
 
@@ -100,9 +226,11 @@ pub const SHARD_LOCK_RANK: u32 = 70;
 /// The memory component: a sorted, sharded map from user key to its version slot.
 #[derive(Debug)]
 pub struct Memtable {
-    shards: Vec<RankedRwLock<BTreeMap<Vec<u8>, Slot>>>,
+    shards: Vec<RankedRwLock<MemShard>>,
     approximate_size: AtomicUsize,
     entry_count: AtomicUsize,
+    /// Snapshot-retained prior versions currently held, across all slots.
+    retained_versions: AtomicUsize,
     /// Total updates absorbed (including overwrites); used to compute the mean
     /// update frequency for the hot/cold policy.
     total_updates: AtomicU64,
@@ -130,10 +258,11 @@ impl Memtable {
     pub fn with_retention(retention: Arc<SnapshotRetention>) -> Self {
         Memtable {
             shards: (0..SHARD_COUNT)
-                .map(|_| RankedRwLock::new(SHARD_LOCK_RANK, "memtable.shard", BTreeMap::new()))
+                .map(|_| RankedRwLock::new(SHARD_LOCK_RANK, "memtable.shard", MemShard::default()))
                 .collect(),
             approximate_size: AtomicUsize::new(0),
             entry_count: AtomicUsize::new(0),
+            retained_versions: AtomicUsize::new(0),
             total_updates: AtomicU64::new(0),
             retention,
         }
@@ -151,6 +280,7 @@ impl Memtable {
         if max_open > 0 && slot.live.seqno <= max_open {
             let retained = slot.live.clone();
             self.approximate_size.fetch_add(retained.approximate_size(key_len), Ordering::Relaxed);
+            self.retained_versions.fetch_add(1, Ordering::Relaxed);
             slot.prior.push(retained);
         }
     }
@@ -178,6 +308,7 @@ impl Memtable {
                 let dropped = slot.prior.remove(idx);
                 self.approximate_size
                     .fetch_sub(dropped.approximate_size(key_len), Ordering::Relaxed);
+                self.retained_versions.fetch_sub(1, Ordering::Relaxed);
             }
         }
     }
@@ -203,15 +334,32 @@ impl Memtable {
 
     /// Called with the shard lock held: replaces `slot.live` with `entry`,
     /// retaining the shadowed version for open snapshots when `entry` is
-    /// strictly newer, then pruning priors no snapshot can read. The single
-    /// implementation of the retention protocol; every overwrite path above
-    /// the slot level goes through here.
-    fn absorb_into_slot(&self, key_len: usize, slot: &mut Slot, entry: MemEntry) {
+    /// strictly newer, then pruning priors no snapshot can read, and keeping
+    /// the shard's `retained` key set in step with the slot's prior list. The
+    /// single implementation of the retention protocol; every overwrite path
+    /// above the slot level goes through here.
+    fn absorb_into_slot(
+        &self,
+        key: &[u8],
+        slot: &mut Slot,
+        retained: &mut BTreeSet<Vec<u8>>,
+        entry: MemEntry,
+    ) {
+        let had_priors = !slot.prior.is_empty();
         if entry.seqno > slot.live.seqno {
-            self.retain_shadowed(key_len, slot);
+            self.retain_shadowed(key.len(), slot);
         }
-        self.overwrite_live(key_len, slot, entry);
-        self.prune_priors(key_len, slot);
+        self.overwrite_live(key.len(), slot, entry);
+        self.prune_priors(key.len(), slot);
+        match (had_priors, slot.prior.is_empty()) {
+            (false, false) => {
+                retained.insert(key.to_vec());
+            }
+            (true, true) => {
+                retained.remove(key);
+            }
+            _ => {}
+        }
     }
 
     /// Inserts or overwrites `key`, absorbing the update in place (superseded
@@ -226,19 +374,19 @@ impl Memtable {
         kind: ValueKind,
         log_position: LogPosition,
     ) -> usize {
-        let shard = &self.shards[self.shard_for(key)];
-        let mut map = shard.write();
+        let mut shard = self.shards[self.shard_for(key)].write();
+        let MemShard { map, retained } = &mut *shard;
         self.total_updates.fetch_add(1, Ordering::Relaxed);
         match map.get_mut(key) {
             Some(slot) => {
                 let updates = slot.live.updates.saturating_add(1);
                 let entry = MemEntry { value: value.to_vec(), seqno, kind, updates, log_position };
-                self.absorb_into_slot(key.len(), slot, entry);
+                self.absorb_into_slot(key, slot, retained, entry);
             }
             None => {
                 let entry =
                     MemEntry { value: value.to_vec(), seqno, kind, updates: 1, log_position };
-                self.insert_new_slot(&mut map, key, entry);
+                self.insert_new_slot(map, key, entry);
             }
         }
         self.approximate_size.load(Ordering::Relaxed)
@@ -266,8 +414,8 @@ impl Memtable {
         kind: ValueKind,
         log_position: LogPosition,
     ) -> usize {
-        let shard = &self.shards[self.shard_for(key)];
-        let mut map = shard.write();
+        let mut shard = self.shards[self.shard_for(key)].write();
+        let MemShard { map, retained } = &mut *shard;
         self.total_updates.fetch_add(1, Ordering::Relaxed);
         match map.get_mut(key) {
             Some(slot) if slot.live.seqno > seqno => {
@@ -276,12 +424,12 @@ impl Memtable {
             Some(slot) => {
                 let updates = slot.live.updates.saturating_add(1);
                 let entry = MemEntry { value: value.to_vec(), seqno, kind, updates, log_position };
-                self.absorb_into_slot(key.len(), slot, entry);
+                self.absorb_into_slot(key, slot, retained, entry);
             }
             None => {
                 let entry =
                     MemEntry { value: value.to_vec(), seqno, kind, updates: 1, log_position };
-                self.insert_new_slot(&mut map, key, entry);
+                self.insert_new_slot(map, key, entry);
             }
         }
         self.approximate_size.load(Ordering::Relaxed)
@@ -290,12 +438,12 @@ impl Memtable {
     /// Re-inserts a complete [`MemEntry`] (used when TRIAD-MEM retains hot keys in
     /// the new memtable after a flush), preserving its update counter.
     pub fn insert_entry(&self, key: &[u8], entry: MemEntry) {
-        let shard = &self.shards[self.shard_for(key)];
-        let mut map = shard.write();
+        let mut shard = self.shards[self.shard_for(key)].write();
+        let MemShard { map, retained } = &mut *shard;
         self.total_updates.fetch_add(u64::from(entry.updates), Ordering::Relaxed);
         match map.get_mut(key) {
-            Some(slot) => self.absorb_into_slot(key.len(), slot, entry),
-            None => self.insert_new_slot(&mut map, key, entry),
+            Some(slot) => self.absorb_into_slot(key, slot, retained, entry),
+            None => self.insert_new_slot(map, key, entry),
         }
     }
 
@@ -306,8 +454,8 @@ impl Memtable {
     /// overwrite an update the application performed in the meantime. Returns `true`
     /// if the entry was installed.
     pub fn insert_entry_if_older(&self, key: &[u8], entry: MemEntry) -> bool {
-        let shard = &self.shards[self.shard_for(key)];
-        let mut map = shard.write();
+        let mut shard = self.shards[self.shard_for(key)].write();
+        let MemShard { map, retained } = &mut *shard;
         match map.get_mut(key) {
             Some(slot) if slot.live.seqno >= entry.seqno => false,
             Some(slot) => {
@@ -315,12 +463,12 @@ impl Memtable {
                 // hotness the entry carried over.
                 let mut entry = entry;
                 entry.updates = slot.live.updates.saturating_add(entry.updates);
-                self.absorb_into_slot(key.len(), slot, entry);
+                self.absorb_into_slot(key, slot, retained, entry);
                 true
             }
             None => {
                 self.total_updates.fetch_add(u64::from(entry.updates), Ordering::Relaxed);
-                self.insert_new_slot(&mut map, key, entry);
+                self.insert_new_slot(map, key, entry);
                 true
             }
         }
@@ -335,9 +483,8 @@ impl Memtable {
         expected_seqno: SeqNo,
         position: LogPosition,
     ) -> bool {
-        let shard = &self.shards[self.shard_for(key)];
-        let mut map = shard.write();
-        match map.get_mut(key) {
+        let mut shard = self.shards[self.shard_for(key)].write();
+        match shard.map.get_mut(key) {
             Some(slot) if slot.live.seqno == expected_seqno => {
                 slot.live.log_position = position;
                 true
@@ -352,9 +499,8 @@ impl Memtable {
     /// read-newest fast path (callers pass `u64::MAX`). Snapshot reads use
     /// [`get_at`](Memtable::get_at), which does.
     pub fn get(&self, key: &[u8], snapshot: SeqNo) -> Option<Entry> {
-        let shard = &self.shards[self.shard_for(key)];
-        let map = shard.read();
-        map.get(key).and_then(|slot| {
+        let shard = self.shards[self.shard_for(key)].read();
+        shard.map.get(key).and_then(|slot| {
             if slot.live.seqno <= snapshot {
                 Some(slot.live.to_entry(key))
             } else {
@@ -370,13 +516,8 @@ impl Memtable {
     /// on the prior list, so a bounded probe can never miss a key that existed
     /// at the snapshot point.
     pub fn get_at(&self, key: &[u8], snapshot: SeqNo) -> Option<Entry> {
-        let shard = &self.shards[self.shard_for(key)];
-        let map = shard.read();
-        let slot = map.get(key)?;
-        if slot.live.seqno <= snapshot {
-            return Some(slot.live.to_entry(key));
-        }
-        slot.prior.iter().rev().find(|entry| entry.seqno <= snapshot).map(|e| e.to_entry(key))
+        let shard = self.shards[self.shard_for(key)].read();
+        shard.map.get(key)?.visible_at(snapshot).map(|entry| entry.to_entry(key))
     }
 
     /// Number of distinct keys currently held.
@@ -410,55 +551,45 @@ impl Memtable {
     pub fn snapshot_entries(&self) -> Vec<(Vec<u8>, MemEntry)> {
         let mut all: Vec<(Vec<u8>, MemEntry)> = Vec::with_capacity(self.len());
         for shard in &self.shards {
-            let map = shard.read();
-            all.extend(map.iter().map(|(k, slot)| (k.clone(), slot.live.clone())));
+            let shard = shard.read();
+            all.extend(shard.map.iter().map(|(k, slot)| (k.clone(), slot.live.clone())));
         }
         all.sort_by(|a, b| a.0.cmp(&b.0));
         all
     }
 
-    /// Takes a sorted snapshot of the newest version of each key visible at
-    /// `snapshot`, consulting retained prior versions. Keys whose oldest
-    /// retained version is still newer than `snapshot` are absent (they did not
-    /// exist at the snapshot point). Tombstones are included — the merge layers
-    /// above decide what a delete shadows.
-    pub fn snapshot_entries_at(&self, snapshot: SeqNo) -> Vec<(Vec<u8>, MemEntry)> {
-        let mut all: Vec<(Vec<u8>, MemEntry)> = Vec::new();
-        for shard in &self.shards {
-            let map = shard.read();
-            for (key, slot) in map.iter() {
-                let visible = if slot.live.seqno <= snapshot {
-                    Some(&slot.live)
-                } else {
-                    slot.prior.iter().rev().find(|entry| entry.seqno <= snapshot)
-                };
-                if let Some(entry) = visible {
-                    all.push((key.clone(), entry.clone()));
-                }
-            }
-        }
-        all.sort_by(|a, b| a.0.cmp(&b.0));
-        all
-    }
-
-    /// Returns the entries as the engine-wide [`Entry`] type, sorted by internal key.
-    pub fn snapshot_as_entries(&self) -> Vec<Entry> {
-        self.snapshot_entries().into_iter().map(|(key, entry)| entry.to_entry(&key)).collect()
-    }
-
-    /// Like [`snapshot_as_entries`](Memtable::snapshot_as_entries), but bounded
-    /// at `snapshot` (the seqno-bounded source a snapshot scan merges).
-    pub fn snapshot_as_entries_at(&self, snapshot: SeqNo) -> Vec<Entry> {
-        self.snapshot_entries_at(snapshot)
-            .into_iter()
-            .map(|(key, entry)| entry.to_entry(&key))
-            .collect()
+    /// Returns a cursor over the keys in `[start, end)` (either bound may be
+    /// omitted) that yields, in key order, the newest version of each key
+    /// visible at `snapshot`, consulting retained prior versions. Keys whose
+    /// oldest retained version is still newer than `snapshot` are skipped
+    /// (they did not exist at the snapshot point); tombstones are included —
+    /// the merge layers above decide what a delete shadows.
+    ///
+    /// The cursor copies nothing up front. See [`RangeCursor`] for how it
+    /// reads; a caller that needs a stable view must keep `snapshot`
+    /// registered in the retention registry while it reads.
+    pub fn range_at(
+        self: &Arc<Self>,
+        start: Option<&[u8]>,
+        end: Option<&[u8]>,
+        snapshot: SeqNo,
+    ) -> RangeCursor {
+        let empty = matches!((start, end), (Some(start), Some(end)) if start >= end);
+        let resume = start.map_or(Bound::Unbounded, |start| Bound::Included(start.to_vec()));
+        let shards = (0..SHARD_COUNT)
+            .map(|_| ShardCursor {
+                buffered: VecDeque::new(),
+                resume: resume.clone(),
+                exhausted: empty,
+                chunk: CURSOR_CHUNK_MIN,
+            })
+            .collect();
+        RangeCursor { memtable: Arc::clone(self), snapshot, end: end.map(<[u8]>::to_vec), shards }
     }
 
     /// Returns the raw live [`MemEntry`] for `key`, regardless of snapshot.
     pub fn get_raw(&self, key: &[u8]) -> Option<MemEntry> {
-        let shard = &self.shards[self.shard_for(key)];
-        shard.read().get(key).map(|slot| slot.live.clone())
+        self.shards[self.shard_for(key)].read().map.get(key).map(|slot| slot.live.clone())
     }
 
     /// Sweeps every slot's prior list against the current retention bounds,
@@ -467,33 +598,43 @@ impl Memtable {
     /// Overwrites prune their own slot lazily, but an *idle* key's stale prior
     /// would otherwise be held until the slot's next overwrite or the flush.
     /// The engine calls this when a snapshot's deregistration moves the
-    /// registry bounds, so release is prompt for idle keys too. Slots with an
-    /// empty prior list (the overwhelmingly common case) cost one branch; the
-    /// sweep takes one shard lock at a time.
+    /// registry bounds, so release is prompt for idle keys too. The sweep visits
+    /// only the slots that hold retained priors, so it costs O(retained
+    /// versions), and a single atomic load when nothing is retained (the
+    /// overwhelmingly common case). It takes one shard lock at a time, and only
+    /// the locks of shards that retain something.
     pub fn prune_retained(&self) {
+        if self.retained_versions() == 0 {
+            return;
+        }
         for shard in &self.shards {
-            let mut map = shard.write();
-            for (key, slot) in map.iter_mut() {
-                self.prune_priors(key.len(), slot);
+            if shard.read().retained.is_empty() {
+                continue;
             }
+            let mut shard = shard.write();
+            let MemShard { map, retained } = &mut *shard;
+            retained.retain(|key| match map.get_mut(key) {
+                Some(slot) => {
+                    self.prune_priors(key.len(), slot);
+                    !slot.prior.is_empty()
+                }
+                None => false,
+            });
         }
     }
 
     /// Total number of snapshot-retained prior versions currently held
     /// (diagnostics and tests).
     pub fn retained_versions(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| shard.read().values().map(|slot| slot.prior.len()).sum::<usize>())
-            .sum()
+        self.retained_versions.load(Ordering::Relaxed)
     }
 
     /// Largest sequence number stored, if any.
     pub fn max_seqno(&self) -> Option<SeqNo> {
         let mut max = None;
         for shard in &self.shards {
-            let map = shard.read();
-            for slot in map.values() {
+            let shard = shard.read();
+            for slot in shard.map.values() {
                 max = Some(max.map_or(slot.live.seqno, |m: SeqNo| m.max(slot.live.seqno)));
             }
         }
@@ -619,11 +760,6 @@ mod tests {
         }
         for window in snapshot.windows(2) {
             assert!(window[0].0 < window[1].0);
-        }
-        let as_entries = memtable.snapshot_as_entries();
-        assert_eq!(as_entries.len(), keys.len());
-        for window in as_entries.windows(2) {
-            assert!(window[0].key < window[1].key);
         }
     }
 
@@ -819,24 +955,89 @@ mod tests {
         assert_eq!(memtable.get_at(b"k", 11).unwrap().value, b"v2");
     }
 
+    fn cursor_keys(cursor: RangeCursor) -> Vec<Vec<u8>> {
+        cursor.map(|entry| entry.key.user_key).collect()
+    }
+
     #[test]
-    fn snapshot_entries_at_returns_the_bounded_view() {
+    fn range_at_returns_the_bounded_view() {
         let (memtable, retention) = retained_memtable();
+        let memtable = Arc::new(memtable);
         memtable.insert(b"a", b"a1", 1, ValueKind::Put, pos(1, 0));
         memtable.insert(b"b", b"b1", 2, ValueKind::Put, pos(1, 40));
         retention.register(2);
         memtable.insert(b"a", b"a2", 5, ValueKind::Put, pos(1, 80));
         memtable.insert(b"c", b"c1", 6, ValueKind::Put, pos(1, 120));
-        let at2 = memtable.snapshot_entries_at(2);
-        let keys: Vec<&[u8]> = at2.iter().map(|(k, _)| k.as_slice()).collect();
+        let at2: Vec<Entry> = memtable.range_at(None, None, 2).collect();
+        let keys: Vec<&[u8]> = at2.iter().map(|e| e.key.user_key.as_slice()).collect();
         assert_eq!(keys, vec![b"a".as_slice(), b"b"]);
-        assert_eq!(at2[0].1.value, b"a1", "snapshot view has the pre-overwrite value");
+        assert_eq!(at2[0].value, b"a1", "snapshot view has the pre-overwrite value");
         // A later bound sees everything at its newest version.
-        let now = memtable.snapshot_entries_at(u64::MAX);
+        let now: Vec<Entry> = memtable.range_at(None, None, u64::MAX).collect();
         assert_eq!(now.len(), 3);
-        assert_eq!(now[0].1.value, b"a2");
+        assert_eq!(now[0].value, b"a2");
         // The unbounded flush snapshot still carries only live versions.
         assert_eq!(memtable.snapshot_entries().len(), 3);
+    }
+
+    #[test]
+    fn range_at_honours_bounds_across_chunks_and_shards() {
+        let memtable = Arc::new(Memtable::new());
+        // Enough keys that every internal shard needs several growing chunks.
+        for i in 0..3_000u64 {
+            let kind = if i % 7 == 0 { ValueKind::Delete } else { ValueKind::Put };
+            memtable.insert(format!("k{i:05}").as_bytes(), b"v", i + 1, kind, pos(1, 0));
+        }
+        let all = cursor_keys(memtable.range_at(None, None, u64::MAX));
+        let want: Vec<Vec<u8>> = (0..3_000u64).map(|i| format!("k{i:05}").into_bytes()).collect();
+        assert_eq!(all, want, "every key once, in order, tombstones included");
+
+        let ranged = cursor_keys(memtable.range_at(Some(b"k00100"), Some(b"k00200"), u64::MAX));
+        assert_eq!(ranged, want[100..200].to_vec());
+        // A start between keys, and no end.
+        let tail = cursor_keys(memtable.range_at(Some(b"k02990x"), None, u64::MAX));
+        assert_eq!(tail, want[2991..].to_vec());
+        // Bounds that select nothing, including an inverted range.
+        assert!(cursor_keys(memtable.range_at(Some(b"z"), None, u64::MAX)).is_empty());
+        assert!(cursor_keys(memtable.range_at(Some(b"k5"), Some(b"k1"), u64::MAX)).is_empty());
+        assert!(cursor_keys(memtable.range_at(Some(b"k1"), Some(b"k1"), u64::MAX)).is_empty());
+        // The seqno bound hides keys written later.
+        assert_eq!(cursor_keys(memtable.range_at(None, None, 10)), want[..10].to_vec());
+    }
+
+    #[test]
+    fn range_cursor_reads_lazily_against_concurrent_writes() {
+        let (memtable, retention) = retained_memtable();
+        let memtable = Arc::new(memtable);
+        for i in 0..500u64 {
+            memtable.insert(
+                format!("k{i:04}").as_bytes(),
+                b"old",
+                i + 1,
+                ValueKind::Put,
+                pos(1, 0),
+            );
+        }
+        retention.register(500);
+        let mut cursor = memtable.range_at(None, None, 500);
+        let first = cursor.next().unwrap();
+        assert_eq!(first.key.user_key, b"k0000");
+        // Overwrites, deletes and new keys after the cursor opened.
+        for i in 0..500u64 {
+            let key = format!("k{i:04}");
+            memtable.insert(key.as_bytes(), b"new", 1_000 + i, ValueKind::Put, pos(1, 0));
+            memtable.insert(
+                format!("{key}x").as_bytes(),
+                b"new",
+                2_000 + i,
+                ValueKind::Put,
+                pos(1, 0),
+            );
+        }
+        let rest: Vec<Entry> = cursor.collect();
+        assert_eq!(rest.len(), 499);
+        assert!(rest.iter().all(|e| e.value == b"old" && e.key.seqno <= 500));
+        assert_eq!(memtable.retained_versions(), 500);
     }
 
     #[test]
@@ -851,6 +1052,7 @@ mod tests {
         // The key is never touched again; the sweep alone must free the prior.
         memtable.prune_retained();
         assert_eq!(memtable.retained_versions(), 0);
+        assert!(memtable.shards.iter().all(|shard| shard.read().retained.is_empty()));
         assert!(memtable.approximate_size() < with_prior);
         assert_eq!(memtable.get(b"idle", u64::MAX).unwrap().value, b"v2");
     }

@@ -14,7 +14,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use triad_common::types::{Entry, InternalKey, ValueKind};
+use triad_common::types::{Entry, InternalKey, SeqNo, ValueKind};
 use triad_common::varint;
 use triad_common::{Error, Result, Stats};
 use triad_wal::LogReader;
@@ -22,7 +22,7 @@ use triad_wal::LogReader;
 use crate::builder::{TableBuilder, TableBuilderOptions};
 use crate::iter::EntryIter;
 use crate::properties::{TableKind, TableProperties};
-use crate::reader::Table;
+use crate::reader::{Table, TableIterator};
 use crate::SortedTable;
 
 /// Builds the index file of a CL-SSTable.
@@ -84,10 +84,11 @@ impl ClTableBuilder {
 
 /// An open CL-SSTable: a sorted offset index plus the sealed commit log it references.
 pub struct ClTable {
-    index: Table,
+    index: Arc<Table>,
     log: LogReader,
     props: TableProperties,
     index_size: u64,
+    stats: Option<Arc<Stats>>,
 }
 
 impl std::fmt::Debug for ClTable {
@@ -119,7 +120,7 @@ impl ClTable {
         stats: Option<Arc<Stats>>,
         fetch: Option<crate::FetchContext>,
     ) -> Result<ClTable> {
-        let index = Table::open_with_fetch(index_path.as_ref(), stats, fetch)?;
+        let index = Arc::new(Table::open_with_fetch(index_path.as_ref(), stats.clone(), fetch)?);
         let mut props = index.properties().clone();
         if props.kind != TableKind::CommitLogIndex {
             return Err(Error::corruption_at(
@@ -131,7 +132,7 @@ impl ClTable {
         props.kind = TableKind::CommitLogIndex;
         let log = LogReader::open(log_path.as_ref())?;
         let index_size = index.file_size();
-        Ok(ClTable { index, log, props, index_size })
+        Ok(ClTable { index, log, props, index_size, stats })
     }
 
     /// The path of the backing commit log.
@@ -184,11 +185,15 @@ impl SortedTable for ClTable {
     }
 
     fn entries(&self) -> Result<EntryIter> {
-        // Bulk iteration (compaction, full scans) reads the sealed log once into
-        // memory and resolves offsets from the buffer; issuing one positioned read
-        // per entry would dominate compaction time.
+        // Bulk iteration (compaction) reads the sealed log once into memory and
+        // resolves offsets from the buffer; issuing one positioned read per
+        // entry would dominate compaction time. Scans use `iter_from` instead,
+        // which reads only the records they reach.
+        if let Some(stats) = &self.stats {
+            stats.add_cl_log_bulk_reads(1);
+        }
         let buffer = self.log.read_to_buffer()?;
-        let index_entries = SortedTable::entries(&self.index)?;
+        let index_entries = SortedTable::entries(self.index.as_ref())?;
         let mut resolved = Vec::new();
         for item in index_entries {
             let index_entry = item?;
@@ -209,6 +214,11 @@ impl SortedTable for ClTable {
         Ok(Box::new(resolved.into_iter().map(Ok)))
     }
 
+    fn iter_from(self: Arc<Self>, start: Option<&[u8]>, max_seqno: SeqNo) -> Result<EntryIter> {
+        let index = self.index.iter_entries_from(start, max_seqno)?;
+        Ok(Box::new(ClTableIterator { table: self, index, errored: false }))
+    }
+
     fn properties(&self) -> &TableProperties {
         &self.props
     }
@@ -216,6 +226,28 @@ impl SortedTable for ClTable {
     fn size_bytes(&self) -> u64 {
         // The bytes this table occupies on disk beyond what the WAL already wrote.
         self.index_size
+    }
+}
+
+/// A seekable iterator over a CL-SSTable: walks the offset index and resolves
+/// each value with one positioned read of the backing log as the entry is
+/// reached, so a short scan never reads the log beyond what it returns.
+struct ClTableIterator {
+    table: Arc<ClTable>,
+    index: TableIterator,
+    errored: bool,
+}
+
+impl Iterator for ClTableIterator {
+    type Item = Result<Entry>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.errored {
+            return None;
+        }
+        let resolved = self.index.next()?.and_then(|index_entry| self.table.resolve(index_entry));
+        self.errored = resolved.is_err();
+        Some(resolved)
     }
 }
 
@@ -332,6 +364,44 @@ mod tests {
             assert!(entry.value.starts_with(expect.as_bytes()));
             assert_eq!(entry.value.len(), 100);
         }
+    }
+
+    #[test]
+    fn iter_from_resolves_only_the_records_it_reaches() {
+        let dir = temp_dir("iter-from");
+        let (index_path, log_path) = build_cl_table(&dir, 1_000);
+        let stats = Arc::new(Stats::new());
+        let table =
+            Arc::new(ClTable::open(&index_path, &log_path, Some(Arc::clone(&stats))).unwrap());
+        let got: Vec<Entry> = Arc::clone(&table)
+            .iter_from(Some(b"key-00095"), u64::MAX)
+            .unwrap()
+            .take(7)
+            .map(|r| r.unwrap())
+            .collect();
+        let keys: Vec<&[u8]> = got.iter().map(|e| e.key.user_key.as_slice()).collect();
+        assert_eq!(
+            keys,
+            [
+                b"key-00095",
+                b"key-00096",
+                b"key-00097",
+                b"key-00098",
+                b"key-00099",
+                b"key-00100",
+                b"key-00101"
+            ]
+        );
+        assert!(got[0].value.starts_with(b"value-95"));
+        assert_eq!(got[5].key.kind, ValueKind::Delete, "every 10th key is a tombstone");
+        assert!(got[5].value.is_empty());
+        assert_eq!(stats.cl_log_bulk_reads(), 0, "a scan never reads the log whole");
+        // Everything, from the start, matches the bulk path entry for entry.
+        let all: Vec<Entry> =
+            Arc::clone(&table).iter_from(None, u64::MAX).unwrap().map(|r| r.unwrap()).collect();
+        let bulk: Vec<Entry> = table.entries().unwrap().map(|r| r.unwrap()).collect();
+        assert_eq!(all, bulk);
+        assert_eq!(stats.cl_log_bulk_reads(), 1);
     }
 
     #[test]

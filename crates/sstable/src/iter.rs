@@ -155,20 +155,6 @@ pub fn entries_to_iter(entries: Vec<Entry>) -> EntryIter {
     Box::new(entries.into_iter().map(Ok))
 }
 
-/// Restricts `inner` to entries whose sequence number is `<= max_seqno`.
-///
-/// This is the table-side half of the snapshot read path: sources are bounded
-/// *before* the [`DedupIterator`] picks survivors, so the survivor for each
-/// user key is the newest version visible at the snapshot, not the newest
-/// version outright. The hot (non-snapshot) read path never uses this — it
-/// reads newest, unbounded.
-pub fn bounded_to_seqno(inner: EntryIter, max_seqno: u64) -> EntryIter {
-    Box::new(inner.filter(move |item| match item {
-        Ok(entry) => entry.key.seqno <= max_seqno,
-        Err(_) => true,
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

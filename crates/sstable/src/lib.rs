@@ -11,7 +11,8 @@
 //! * [`cl_table`] — the TRIAD-LOG *CL-SSTable*: a sorted key→offset index over a
 //!   sealed commit log, so flushes write only the index instead of re-writing values.
 //! * [`iter`] — the k-way merging iterator and the version-resolving iterator used by
-//!   compaction and scans.
+//!   compaction and scans; scans take their table sources from
+//!   [`SortedTable::iter_from`].
 //! * [`readahead`] — the small I/O worker pool scan iterators use to prefetch the
 //!   next data block into the shared cache while the merge consumes the current one.
 //!
@@ -34,7 +35,7 @@ pub mod reader;
 pub use bloom::BloomFilter;
 pub use builder::{TableBuilder, TableBuilderOptions};
 pub use cl_table::{ClTable, ClTableBuilder};
-pub use iter::{bounded_to_seqno, DedupIterator, EntryIter, MergingIterator};
+pub use iter::{DedupIterator, EntryIter, MergingIterator};
 pub use properties::{TableKind, TableProperties};
 pub use readahead::IoPool;
 pub use reader::Table;
@@ -43,7 +44,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use block::Block;
-use triad_common::types::Entry;
+use triad_common::types::{Entry, SeqNo};
 use triad_common::{Result, Stats};
 
 /// Returns the canonical file name for SSTable `id`, e.g. `000042.sst`.
@@ -132,6 +133,14 @@ pub trait SortedTable: Send + Sync {
     fn entries_arc(self: Arc<Self>) -> Result<EntryIter> {
         self.entries()
     }
+
+    /// The scan path: returns an iterator over the entries with user key at or
+    /// after `start` (every entry when `None`) whose seqno is at most
+    /// `max_seqno`, in internal-key order. The iterator seeks through the
+    /// index to `start` and reads data blocks — and, for CL-SSTables, log
+    /// records — only as the caller advances, so a scan's cost follows the
+    /// entries it consumes, not the size of the table.
+    fn iter_from(self: Arc<Self>, start: Option<&[u8]>, max_seqno: SeqNo) -> Result<EntryIter>;
 
     /// The table's metadata.
     fn properties(&self) -> &TableProperties;

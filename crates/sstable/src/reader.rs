@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use triad_common::types::{Entry, InternalKey};
+use triad_common::types::{Entry, InternalKey, SeqNo};
 use triad_common::{Error, Result, Stats};
 
 use crate::block::Block;
@@ -201,8 +201,26 @@ impl Table {
             index_pos: 0,
             block: None,
             block_pos: 0,
+            max_seqno: SeqNo::MAX,
             errored: false,
         }
+    }
+
+    /// Returns an iterator over the entries with user key at or after `start`
+    /// (every entry when `None`) and seqno at most `max_seqno`, in
+    /// internal-key order. Positioning costs one index-block search and one
+    /// data-block read; later blocks are read as the caller reaches them.
+    pub fn iter_entries_from(
+        self: &Arc<Self>,
+        start: Option<&[u8]>,
+        max_seqno: SeqNo,
+    ) -> Result<TableIterator> {
+        let mut iter = self.iter_entries();
+        iter.max_seqno = max_seqno;
+        if let Some(start) = start {
+            iter.seek(&InternalKey::for_lookup(start.to_vec(), max_seqno).encode())?;
+        }
+        Ok(iter)
     }
 }
 
@@ -236,6 +254,10 @@ impl SortedTable for Table {
         Ok(Box::new(self.iter_entries()))
     }
 
+    fn iter_from(self: Arc<Self>, start: Option<&[u8]>, max_seqno: SeqNo) -> Result<EntryIter> {
+        Ok(Box::new(self.iter_entries_from(start, max_seqno)?))
+    }
+
     fn properties(&self) -> &TableProperties {
         &self.props
     }
@@ -248,24 +270,47 @@ impl SortedTable for Table {
 /// Streaming iterator over a table's entries; loads one data block at a time.
 pub struct TableIterator {
     table: Arc<Table>,
+    /// Index position of the next data block to load.
     index_pos: usize,
     block: Option<Arc<Block>>,
     block_pos: usize,
+    /// Entries with a larger seqno are skipped.
+    max_seqno: SeqNo,
     errored: bool,
 }
 
 impl TableIterator {
+    /// Positions the iterator at the first entry whose encoded internal key
+    /// is `>= target`: a binary search of the index block finds the one data
+    /// block that can hold it, and a binary search of that block the entry.
+    fn seek(&mut self, target: &[u8]) -> Result<()> {
+        self.block = None;
+        self.block_pos = 0;
+        self.index_pos = self.table.index.seek(target)?;
+        if self.index_pos >= self.table.index.num_entries() {
+            return Ok(());
+        }
+        let (_, handle_bytes) = self.table.index.entry(self.index_pos)?;
+        let block = self.table.read_data_block(BlockHandle::decode(handle_bytes)?)?;
+        self.block_pos = block.seek(target)?;
+        self.block = Some(block);
+        self.index_pos += 1;
+        Ok(())
+    }
+
     fn next_entry(&mut self) -> Result<Option<Entry>> {
         loop {
             if let Some(block) = &self.block {
                 if self.block_pos < block.num_entries() {
                     let (key_bytes, value) = block.entry(self.block_pos)?;
+                    self.block_pos += 1;
                     let key = InternalKey::decode(key_bytes).ok_or_else(|| {
                         Error::corruption("undecodable internal key in data block")
                     })?;
-                    let entry = Entry::new(key, value.to_vec());
-                    self.block_pos += 1;
-                    return Ok(Some(entry));
+                    if key.seqno > self.max_seqno {
+                        continue;
+                    }
+                    return Ok(Some(Entry::new(key, value.to_vec())));
                 }
                 self.block = None;
                 self.block_pos = 0;
@@ -382,6 +427,34 @@ mod tests {
         let via_trait: Vec<Entry> =
             SortedTable::entries(table.as_ref()).unwrap().map(|r| r.unwrap()).collect();
         assert_eq!(via_trait, entries);
+    }
+
+    #[test]
+    fn iter_entries_from_seeks_to_the_start_key() {
+        let path = temp_path("seek.sst");
+        build_table(&path, 1_000, 256);
+        let stats = Arc::new(Stats::new());
+        let table = Arc::new(Table::open(&path, Some(Arc::clone(&stats))).unwrap());
+        let keys = |start: Option<&[u8]>, max_seqno: SeqNo, n: usize| -> Vec<Vec<u8>> {
+            table
+                .iter_entries_from(start, max_seqno)
+                .unwrap()
+                .take(n)
+                .map(|r| r.unwrap().key.user_key)
+                .collect()
+        };
+        // Exactly on a key, between keys, before the first and past the last.
+        assert_eq!(keys(Some(b"key-000500"), SeqNo::MAX, 2), [b"key-000500", b"key-000501"]);
+        assert_eq!(keys(Some(b"key-000500x"), SeqNo::MAX, 1), [b"key-000501"]);
+        assert_eq!(keys(Some(b"a"), SeqNo::MAX, 1), [b"key-000000"]);
+        assert!(keys(Some(b"zzz"), SeqNo::MAX, 1).is_empty());
+        assert_eq!(keys(None, SeqNo::MAX, usize::MAX).len(), 1_000);
+        // Key `i` was written at seqno `i + 1`: the bound hides every later key.
+        assert_eq!(keys(Some(b"key-000010"), 15, usize::MAX).len(), 5);
+        // A seek reads one data block, not the table.
+        let before = stats.block_reads();
+        assert_eq!(keys(Some(b"key-000700"), SeqNo::MAX, 1).len(), 1);
+        assert_eq!(stats.block_reads() - before, 1);
     }
 
     #[test]
